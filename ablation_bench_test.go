@@ -187,29 +187,6 @@ func BenchmarkAblation_PipelineDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelClock compares serial and parallel vault
-// servicing on a loaded device (128 threads of random traffic, bank
-// timing on). Results are bit-identical; only wall-clock differs. At
-// transaction-level per-vault costs the goroutine fan-out typically does
-// NOT pay off — the bench documents that honestly; the parallel mode's
-// value is headroom for heavyweight per-op work (deep script-interpreted
-// CMC operations) on large configurations.
-func BenchmarkAblation_ParallelClock(b *testing.B) {
-	trace := GenerateRandomTrace(0, 1<<26, 4096, 7)
-	cfg := FourLink4GB()
-	cfg.BankLatencyCycles = 1
-	run := func(b *testing.B, opts ...Option) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunReplay(cfg, 128, trace, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b) })
-	b.Run("workers8", func(b *testing.B) { run(b, WithParallelClock(8)) })
-}
-
 // BenchmarkAblation_ScriptVsCompiled measures the interpretation overhead
 // of the .cmc script path against the compiled mutex operations by
 // driving the same lock/unlock sequence through each.

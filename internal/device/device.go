@@ -31,30 +31,14 @@
 //
 // # Concurrency
 //
-// The host API (Send/Recv/Clock) is single-goroutine, as in the
-// original simulator. With Workers > 1 only the execute phase fans out,
-// one persistent pool worker per chunk of active vaults (see Pool; the
-// pool is created lazily and released by Close); every shared surface a
-// worker can reach is either synchronized or single-writer by
-// construction:
-//
-//   - mem.Store: sharded on the address map's vault bits, one RWMutex
-//     per shard, so concurrent vault workers never contend — and are
-//     correct even if a CMC op reaches outside its vault's shard.
-//   - RegFile: all access (including PostError from posted-fault paths
-//     on worker goroutines) is behind its mutex.
-//   - trace tracers: Text, JSONL and Recorder all serialize Emit with a
-//     mutex; only the interleaving of same-cycle events is unordered.
-//   - cmc.Table: read-only after Load; ExecContext is per-vault scratch
-//     touched only by the vault's worker; script programs keep all
-//     execution state on the per-call stack.
-//   - amo.Unit: stateless aside from the store.
-//   - Stats: workers accumulate into per-worker partials merged after
-//     the join; the dirty bitsets, flight free list and per-vault dead
-//     lists are only read and written in single-threaded phase code
-//     (the post-execute pass runs after the workers join).
-//   - ExecHook: called concurrently, so it must be thread-safe; the sim
-//     layer wraps the power hook in a mutex when Workers > 1.
+// A device is single-owner: the host API (Send/Recv/Clock), the clock
+// phases and the response free list all run on the one goroutine that
+// drives the device, as in the original simulator. Parallelism lives a
+// level up, across independent simulators (sweep workers, server
+// sessions), which share nothing but the process-wide page pool of
+// internal/mem. Responses handed out by Recv return to this device's
+// free list through packet.PutRsp, so they too must be released on the
+// driving goroutine.
 package device
 
 import (
@@ -126,7 +110,8 @@ const (
 // Flight is a packet in flight through the device, request or response
 // direction.
 type Flight struct {
-	// Rqst is set on the request path.
+	// Rqst is the device's copy of the host's request; it points at the
+	// flight's own storage and stays attached until the flight retires.
 	Rqst *packet.Rqst
 	// Rsp is set on the response path.
 	Rsp *packet.Rsp
@@ -137,6 +122,10 @@ type Flight struct {
 	SendCycle uint64
 	// ExecCycle is the device cycle the vault executed the request on.
 	ExecCycle uint64
+
+	// adopted holds the request Send copied in; its payload backing
+	// array survives recycling, for the next adoption.
+	adopted packet.Rqst
 }
 
 // Stats aggregates device-lifetime counters.
@@ -190,21 +179,6 @@ type Stats struct {
 // RqstsOfClass returns the executed-request count for one command class.
 func (s Stats) RqstsOfClass(c hmccmd.Class) uint64 { return s.Rqsts[c] }
 
-// merge folds a partial counter set (from one parallel-clock worker) into
-// the device totals. Cycle and link-side counters are never collected in
-// partials, so only the execute-phase fields are summed.
-func (s *Stats) merge(o *Stats) {
-	for i := range s.Rqsts {
-		s.Rqsts[i] += o.Rqsts[i]
-	}
-	s.BankConflicts += o.BankConflicts
-	s.RspBackpressure += o.RspBackpressure
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.ErrResponses += o.ErrResponses
-	s.PoisonedRqsts += o.PoisonedRqsts
-}
-
 // Device is one simulated HMC device.
 type Device struct {
 	// ID is the device's CUB identity.
@@ -235,27 +209,8 @@ type Device struct {
 	// ExecHook, when non-nil, is invoked for every executed request with
 	// its command class, request/response FLIT counts and the number of
 	// 16-byte DRAM blocks touched. The simulator layer uses it to drive
-	// the optional power model without coupling the device to it. With
-	// Workers > 1 the hook is called concurrently and must be
-	// thread-safe.
+	// the optional power model without coupling the device to it.
 	ExecHook func(class hmccmd.Class, rqstFlits, rspFlits, dramBlocks int)
-
-	// Workers selects how many pool workers service vaults during the
-	// execute phase (values <= 1 mean serial). The vault partitioning of
-	// the address space makes parallel execution semantically identical
-	// to serial, except for the interleaving of trace-event emission
-	// within a cycle. The pool goroutines are started lazily on the
-	// first cycle that crosses the fan-out threshold and released by
-	// Close.
-	Workers int
-
-	// MinFanout is the smallest active-vault count the execute phase
-	// will fan out across the worker pool; smaller active sets run
-	// serially even with Workers > 1 (the pool barrier costs more than
-	// executing a handful of vaults inline). Zero selects
-	// DefaultMinFanout. The threshold changes only where the work runs,
-	// never the results.
-	MinFanout int
 
 	// ForceWalk disables idle skipping, making every clock phase walk
 	// every vault and sample every queue exactly as the original
@@ -264,32 +219,25 @@ type Device struct {
 	// for debugging.
 	ForceWalk bool
 
-	// flightPool recycles Flight envelopes and rqstPool recycles the
-	// device-owned request packets they carry: Send draws from both (it
-	// adopts the caller's request by deep copy, so the caller may reuse
-	// its buffers immediately), Recv and the post-execute pass return to
-	// them. Both are touched only from the host goroutine
-	// (Send/Recv/Clock), never from execute-phase workers, so they need
-	// no lock. Misses allocate in chunks to amortize warm-up.
+	// flightPool recycles Flight envelopes, each with the storage for
+	// the request it carries: Send draws from it (it adopts the caller's
+	// request by deep copy, so the caller may reuse its buffers
+	// immediately), Recv and the execute phase return to it. Misses
+	// allocate in chunks to amortize warm-up. rspFree is the response
+	// free list: the execute phase draws every response from it and
+	// packet.PutRsp returns each one here.
 	flightPool []*Flight
-	rqstPool   []*packet.Rqst
+	rspFree    packet.RspList
 
 	// vaultRqstMask and vaultRspMask are bitsets of vaults whose request
 	// (resp. response) queues are non-empty, maintained at push/pop so
-	// the clock phases touch only active vaults. Updated only from
-	// single-threaded phase code (never from execute workers).
+	// the clock phases touch only active vaults.
 	vaultRqstMask, vaultRspMask []uint64
 
-	// execScratch and partialScratch are reusable per-cycle buffers for
-	// the execute phase (active-vault list and per-worker stat partials).
-	execScratch    []int
-	partialScratch []Stats
-
-	// pool is the persistent execute-phase worker pool, created lazily
-	// by the first fan-out and released by Close; poolTask is the
-	// execWorker method value bound once so Run stays allocation-free.
-	pool     *Pool
-	poolTask func(int)
+	// cmcCtx is the reusable CMC execute context, allocated on the first
+	// CMC dispatch so workloads that never issue custom commands pay
+	// nothing for it.
+	cmcCtx *cmc.ExecContext
 
 	// latHist, when RegisterMetrics has run, holds one end-to-end latency
 	// histogram per command class; Recv observes the send-to-recv cycle
@@ -327,21 +275,14 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		ID:   id,
-		Cfg:  cfg,
-		regs: newRegFile(cfg),
-		amap: amap,
-		// Shard the page table on the vault bits of the address map:
-		// requests are partitioned by vault, so under WithParallelClock
-		// no two workers ever contend for the same shard lock.
-		store:  mem.NewSharded(cfg.CapacityBytes(), cfg.OffsetBits(), cfg.VaultBits()),
+		ID:     id,
+		Cfg:    cfg,
+		regs:   newRegFile(cfg),
+		amap:   amap,
+		store:  mem.New(cfg.CapacityBytes()),
 		cmcTab: cmc.NewTable(),
 		tracer: tracer,
 	}
-	// Only execute-phase pool workers ever touch the store from more
-	// than one goroutine; run lock-free until that pool actually starts
-	// (execParallel restores locking first).
-	d.store.SetSerial(true)
 	d.amoU = amo.New(d.store)
 	// Queue ring buffers — two per link, two per crossbar port, two per
 	// vault — materialize lazily inside queue.Queue as occupancy demands
@@ -362,7 +303,6 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 	}
 	d.vaultRqstMask = make([]uint64, (cfg.Vaults+63)/64)
 	d.vaultRspMask = make([]uint64, (cfg.Vaults+63)/64)
-	d.execScratch = make([]int, 0, cfg.Vaults)
 	// Tie every queue's sample count to the cycle counter so the sample
 	// phase may skip empty queues without perturbing the statistics.
 	for i := range d.links {
@@ -380,30 +320,7 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 	return d, nil
 }
 
-// DefaultMinFanout is the default execute-phase fan-out threshold: with
-// fewer active vaults than this, waking the worker pool costs more than
-// executing the vaults inline, so the device stays on the serial path.
-// Measured on the pooled-exec benchmark the crossover sits well below 8
-// active vaults even at high per-vault load; 8 keeps hot-spot workloads
-// (one active vault) strictly serial while full-device traffic fans out.
-const DefaultMinFanout = 8
-
-// Close releases the execute-phase worker pool, if one was started. The
-// device remains fully usable afterwards — reports, stats and the serial
-// clock path are untouched, and a later parallel cycle simply starts a
-// fresh pool. Close is idempotent. Callers that enable Workers > 1 own
-// the pool's lifetime: a device abandoned without Close leaks its
-// parked worker goroutines until process exit.
-func (d *Device) Close() {
-	if d.pool != nil {
-		d.pool.Close()
-		d.pool = nil
-		d.poolTask = nil
-	}
-}
-
-// poolChunk is how many Flights or Rqsts a pool miss materializes at
-// once; chunking cuts warm-up allocations without holding excess memory
+// poolChunk is how many Flights a pool miss materializes at once; chunking cuts warm-up allocations without holding excess memory
 // (a chunk is well under 1 KB, so a lightly loaded session parked in a
 // many-thousand-session server stays lean).
 const poolChunk = 8
@@ -416,39 +333,20 @@ func (d *Device) getFlight() *Flight {
 		return f
 	}
 	chunk := make([]Flight, poolChunk)
+	for i := range chunk {
+		chunk[i].Rqst = &chunk[i].adopted
+	}
 	for i := 1; i < len(chunk); i++ {
 		d.flightPool = append(d.flightPool, &chunk[i])
 	}
 	return &chunk[0]
 }
 
-// putFlight clears and recycles a Flight envelope. The caller recycles
-// any attached Rqst first; the Rsp belongs to the host by then.
+// putFlight clears and recycles a Flight envelope, keeping its request
+// storage. The Rsp belongs to the host by then.
 func (d *Device) putFlight(f *Flight) {
-	*f = Flight{}
+	f.Rsp, f.Link, f.SendCycle, f.ExecCycle = nil, 0, 0, 0
 	d.flightPool = append(d.flightPool, f)
-}
-
-// getRqst draws a device-owned request packet from the free list. The
-// packet's stale fields are fully overwritten by CopyFrom at the only
-// call site, so no clearing happens here.
-func (d *Device) getRqst() *packet.Rqst {
-	if n := len(d.rqstPool); n > 0 {
-		r := d.rqstPool[n-1]
-		d.rqstPool = d.rqstPool[:n-1]
-		return r
-	}
-	chunk := make([]packet.Rqst, poolChunk)
-	for i := 1; i < len(chunk); i++ {
-		d.rqstPool = append(d.rqstPool, &chunk[i])
-	}
-	return &chunk[0]
-}
-
-// putRqst recycles a device-owned request packet, keeping its payload
-// backing array for the next adoption.
-func (d *Device) putRqst(r *packet.Rqst) {
-	d.rqstPool = append(d.rqstPool, r)
 }
 
 // SetFaultPlan installs (or, with a disabled plan, removes) the random
@@ -551,11 +449,9 @@ func (d *Device) Send(link int, r *packet.Rqst) error {
 		return fmt.Errorf("%w: CUB %d on device %d", ErrWrongCUB, r.CUB, d.ID)
 	}
 	f := d.getFlight()
-	adopted := d.getRqst()
-	adopted.CopyFrom(r)
-	f.Rqst, f.Link, f.SendCycle = adopted, link, d.cycle
+	f.adopted.CopyFrom(r)
+	f.Link, f.SendCycle = link, d.cycle
 	if err := d.links[link].rqst.Push(f); err != nil {
-		d.putRqst(adopted)
 		d.putFlight(f)
 		d.stats.SendStalls++
 		if d.spans != nil && d.spans.Tracked(r.TAG) {
@@ -585,7 +481,9 @@ func (d *Device) Send(link int, r *packet.Rqst) error {
 //
 // The returned response belongs to the host. Callers in steady-state
 // loops should hand it back via packet.PutRsp (sim.ReleaseRsp) once
-// consumed; callers that don't simply let the GC take it.
+// consumed, on the goroutine that drives this device: the response
+// returns to this device's free list. Callers that don't release
+// simply let the GC take it.
 func (d *Device) Recv(link int) (*packet.Rsp, bool) {
 	if link < 0 || link >= len(d.links) {
 		return nil, false
@@ -609,13 +507,10 @@ func (d *Device) Recv(link int) (*packet.Rsp, bool) {
 			Value: d.cycle - f.SendCycle, Detail: "round-trip cycles at recv",
 		})
 	}
-	// The adopted request and the Flight envelope return to the device
-	// pools; the response packet belongs to the host now.
-	if f.Rqst != nil {
-		if h := d.latHist[f.Rqst.Cmd.InfoRef().Class]; h != nil {
-			h.Observe(d.cycle - f.SendCycle)
-		}
-		d.putRqst(f.Rqst)
+	// The Flight envelope returns to the device pool; the response
+	// packet belongs to the host now.
+	if h := d.latHist[f.Rqst.Cmd.InfoRef().Class]; h != nil {
+		h.Observe(d.cycle - f.SendCycle)
 	}
 	d.putFlight(f)
 	return rsp, true

@@ -300,3 +300,22 @@ func TestSkipNeverJumpsDropTimeout(t *testing.T) {
 		t.Fatalf("retransmission did not arm a new timeout: retryUntil=%d, wake=%d", dir.retryUntil, wake)
 	}
 }
+
+// vaultAddr returns an address routed to vault v (row k) under the test
+// configuration's address map: consecutive max-size blocks interleave
+// across vaults.
+func vaultAddr(cfg config.Config, v, k int) uint64 {
+	block := uint64(cfg.MaxBlockSize)
+	return (uint64(k)*uint64(cfg.Vaults) + uint64(v)) * block
+}
+
+// splitmix64 is the tests' deterministic traffic stream.
+type splitmix64 uint64
+
+func (s *splitmix64) next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}

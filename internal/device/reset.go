@@ -26,12 +26,12 @@ import (
 //
 // Deliberately retained: the CMC registration table (operations are
 // stateless; reloading them is the session's concern), the flight and
-// request free lists, the execute-phase worker pool, scratch buffers,
-// the tracer, and any registered metrics instruments (which accumulate
-// across runs — reusable sessions are built without metrics). After
-// Reset the device is indistinguishable, in every statistic and every
-// packet it emits, from a freshly constructed one with the same CMC
-// table (the reset bit-identity suite pins this).
+// response free lists, scratch buffers, the tracer, and any registered
+// metrics instruments (which accumulate across runs — reusable sessions
+// are built without metrics). After Reset the device is
+// indistinguishable, in every statistic and every packet it emits, from
+// a freshly constructed one with the same CMC table (the reset
+// bit-identity suite pins this).
 func (d *Device) Reset() {
 	for i := range d.links {
 		d.drainQueue(&d.links[i].rqst)
@@ -46,12 +46,6 @@ func (d *Device) Reset() {
 		v := &d.vaults[i]
 		d.drainQueue(&v.rqst)
 		d.drainQueue(&v.rsp)
-		// The dead list is drained every cycle by the post-execute pass;
-		// recycle defensively in case Reset lands mid-run.
-		for _, f := range v.dead {
-			d.recycleFlight(f)
-		}
-		v.dead = v.dead[:0]
 		clear(v.banks)
 	}
 	clear(d.vaultRqstMask)
@@ -73,19 +67,17 @@ func (d *Device) Reset() {
 // Trim releases the reusable capacity Reset deliberately keeps warm,
 // shrinking an idle device toward its freshly built footprint: the
 // backing store's materialized pages scrub back to the process-wide page
-// pool and the flight/request free lists are dropped. Call it after
-// Reset on a device headed for an idle pool — a parked session then
-// costs only its structural allocations, and the first run after
-// revival re-materializes capacity on demand (first writes draw from
-// the same shared pool the trim fed). Trim never touches run-visible
+// pool and the flight and response free lists are dropped. Call it
+// after Reset on a device headed for an idle pool — a parked session
+// then costs only its structural allocations, and the first run after
+// revival re-materializes capacity on demand (first writes draw from the
+// same shared pool the trim fed). Trim never touches run-visible
 // state, so Reset+Trim stays bit-identical to a fresh device.
 func (d *Device) Trim() {
 	d.store.Trim()
 	d.flightPool = nil
-	d.rqstPool = nil
-	for i := range d.vaults {
-		d.vaults[i].ctxScratch = nil
-	}
+	d.rspFree.Trim()
+	d.cmcCtx = nil
 }
 
 // drainQueue empties one flight queue into the device pools and clears
@@ -104,9 +96,6 @@ func (d *Device) drainQueue(q *queue.Queue[*Flight]) {
 // recycleFlight returns a flight and whatever packets it still carries
 // to their pools.
 func (d *Device) recycleFlight(f *Flight) {
-	if f.Rqst != nil {
-		d.putRqst(f.Rqst)
-	}
 	if f.Rsp != nil {
 		packet.PutRsp(f.Rsp)
 	}

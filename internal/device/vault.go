@@ -17,10 +17,10 @@ import (
 // transaction-level, matching the paper's timing-free abstraction (§VII).
 type Bank struct {
 	readyAt uint64
-	// openRow tracks the row left open by the last access, for the
-	// optional open-page timing model (Config.RowMissPenaltyCycles).
+	// openRow is one more than the row left open by the last access
+	// (zero: no row open), for the optional open-page timing model
+	// (Config.RowMissPenaltyCycles).
 	openRow uint64
-	hasRow  bool
 	// Ops counts requests serviced by this bank.
 	Ops uint64
 }
@@ -37,17 +37,6 @@ type Vault struct {
 	rqst     queue.Queue[*Flight]
 	rsp      queue.Queue[*Flight]
 	banks    []Bank
-
-	// ctxScratch is the reusable CMC execute context for this vault,
-	// allocated lazily on the first CMC dispatch so workloads that never
-	// issue custom commands pay nothing for it. Each vault is serviced
-	// by at most one execute-phase worker per cycle, so the scratch is
-	// never shared.
-	ctxScratch *cmc.ExecContext
-	// dead collects flights retired without a response this cycle
-	// (posted and flow commands); the single-threaded post-execute pass
-	// recycles them into the device flight pool.
-	dead []*Flight
 }
 
 func (v *Vault) init(id int, cfg config.Config, banks []Bank) {
@@ -76,7 +65,8 @@ func (v *Vault) BankOps() []uint64 {
 // execVault services one vault's request queue for the current cycle:
 // FIFO order, head-of-line blocking on busy banks and on a full response
 // queue. This is the hmcsim_process_rqst() stage of paper Figure 3.
-func (d *Device) execVault(v *Vault, st *Stats) {
+func (d *Device) execVault(v *Vault) {
+	st := &d.stats
 	for {
 		f, ok := v.rqst.Peek()
 		if !ok {
@@ -124,19 +114,19 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 			latency := uint64(d.Cfg.BankLatencyCycles)
 			if d.Cfg.BankLatencyCycles > 0 && d.Cfg.RowMissPenaltyCycles > 0 {
 				// Open-page model: a row miss pays precharge+activate.
-				if b.hasRow && b.openRow == loc.Row {
+				if b.openRow == loc.Row+1 {
 					st.RowHits++
 				} else {
 					st.RowMisses++
 					latency += uint64(d.Cfg.RowMissPenaltyCycles)
 				}
-				b.openRow, b.hasRow = loc.Row, true
+				b.openRow = loc.Row + 1
 			}
 			b.readyAt = d.cycle + latency
 			b.Ops++
 		}
 
-		rsp := d.executeRqst(v, f, info, loc, locErr, st)
+		rsp := d.executeRqst(v, f, info, loc, locErr)
 		if d.spans != nil && d.spans.Tracked(r.TAG) {
 			// Dispatch and execution happen in the same cycle; a posted
 			// command (no response) closes its span here.
@@ -165,14 +155,12 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 			})
 		}
 		if rsp == nil {
-			// Posted or flow: no response packet — the envelope dies
-			// here and is recycled after the phase's workers join.
-			v.dead = append(v.dead, f)
+			// Posted or flow: no response packet — the envelope
+			// retires here.
+			d.putFlight(f)
 			continue
 		}
 		f.Rsp = rsp
-		// f.Rqst stays attached so Recv can recycle the adopted request
-		// into the device pool along with the envelope.
 		// Space was checked above; a failed push here is a programming
 		// error surfaced by queue stats in tests.
 		_ = v.rsp.Push(f)
@@ -209,8 +197,9 @@ func bankOf(loc addr.Location, err error) int {
 
 // executeRqst performs one request in-situ and builds its response (nil
 // for posted/flow commands).
-func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Location, locErr error, st *Stats) *packet.Rsp {
+func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Location, locErr error) *packet.Rsp {
 	r := f.Rqst
+	st := &d.stats
 
 	// Poisoned packets are never executed: a request that reaches the
 	// vault with Pb set (stamped by an upstream cube that detected
@@ -224,7 +213,7 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 			st.ErrResponses++
 			return nil
 		}
-		return d.errorRsp(f, ErrstatPoisoned, st)
+		return d.errorRsp(f, ErrstatPoisoned)
 	}
 
 	switch info.Class {
@@ -232,10 +221,10 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 		return nil
 
 	case hmccmd.ClassCMC:
-		return d.executeCMC(v, f, loc, locErr, st)
+		return d.executeCMC(v, f, loc, locErr)
 
 	case hmccmd.ClassMode:
-		return d.executeMode(f, st)
+		return d.executeMode(f)
 	}
 
 	// All remaining classes address DRAM: validate the target first.
@@ -248,20 +237,20 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 			return nil
 		}
 		if locErr != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
-		return d.errorRsp(f, ErrstatBlockViolation, st)
+		return d.errorRsp(f, ErrstatBlockViolation)
 	}
 
 	switch info.Class {
 	case hmccmd.ClassRead:
-		// Zero-copy datapath: the pooled response payload (DataBytes/8
+		// Zero-copy datapath: the response payload (DataBytes/8
 		// always equals the 2*(RspFlits-1) words the response carries) is
 		// filled straight from the page bytes.
 		rsp := d.dataRsp(f, info.Rsp, info.RspFlits, nil, false)
 		if err := d.store.ReadWords(r.ADRS, rsp.Payload); err != nil {
 			packet.PutRsp(rsp)
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		return rsp
 
@@ -269,7 +258,7 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 		// Zero-copy datapath: payload words land directly in the page,
 		// zero-filling up to DataBytes — no intermediate byte buffer.
 		if err := d.store.WriteWords(r.ADRS, r.Payload, int(info.DataBytes)); err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		if info.Class == hmccmd.ClassPostedWrite {
 			return nil
@@ -283,43 +272,41 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 			if info.Class == hmccmd.ClassPostedAtomic {
 				return nil
 			}
-			return d.errorRsp(f, ErrstatInternal, st)
+			return d.errorRsp(f, ErrstatInternal)
 		}
 		if info.Class == hmccmd.ClassPostedAtomic {
 			return nil
 		}
 		return d.dataRsp(f, info.Rsp, info.RspFlits, res.Payload, res.DINV)
 	}
-	return d.errorRsp(f, ErrstatInternal, st)
+	return d.errorRsp(f, ErrstatInternal)
 }
 
 // executeCMC dispatches a custom memory cube request against the device's
 // registration table (paper Figure 3): inactive commands yield an error
 // response, active commands run the user's execute function and are
 // traced under the op's registered name.
-func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error, st *Stats) *packet.Rsp {
+func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error) *packet.Rsp {
 	r := f.Rqst
 	slot, ok := d.cmcTab.Slot(r.Cmd.Code())
 	if !ok {
-		return d.errorRsp(f, ErrstatInactiveCMC, st)
+		return d.errorRsp(f, ErrstatInactiveCMC)
 	}
 	if locErr != nil {
-		return d.errorRsp(f, ErrstatBadAddr, st)
+		return d.errorRsp(f, ErrstatBadAddr)
 	}
 	// Draw the response (and its zeroed payload buffer, which the execute
-	// context fills in place) from the packet pool before dispatch; the
+	// context fills in place) from the free list before dispatch; the
 	// table reuses a pre-sized RspPayload instead of allocating.
 	desc := slot.Desc
 	var rsp *packet.Rsp
 	if desc.RspLen > 0 {
-		rsp = packet.GetRsp(2 * (int(desc.RspLen) - 1))
+		rsp = d.rspFree.Get(2 * (int(desc.RspLen) - 1))
 	}
-	// Reuse the vault's scratch context: only this vault's worker
-	// touches it.
-	if v.ctxScratch == nil {
-		v.ctxScratch = new(cmc.ExecContext)
+	if d.cmcCtx == nil {
+		d.cmcCtx = new(cmc.ExecContext)
 	}
-	ctx := v.ctxScratch
+	ctx := d.cmcCtx
 	*ctx = cmc.ExecContext{
 		Dev:         uint32(d.ID),
 		Quad:        uint32(v.Quad),
@@ -337,14 +324,14 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 		ctx.RspPayload = rsp.Payload
 	}
 	// Dispatch fast path: the slot lookup above already resolved the
-	// operation, and GetRsp pre-sized RspPayload to exactly what the
+	// operation, and the free list pre-sized RspPayload to exactly what the
 	// descriptor demands, so Table.Execute's re-lookup and payload
 	// re-size check are dead weight on every CMC round trip — call the
 	// registered execute entry point directly.
 	if err := slot.Op.Execute(ctx); err != nil {
 		packet.PutRsp(rsp)
 		d.regs.PostError(ErrBitCMCFault)
-		return d.errorRsp(f, ErrstatCMCFault, st)
+		return d.errorRsp(f, ErrstatCMCFault)
 	}
 	if d.tracer.Enabled(trace.LevelCMC) {
 		d.tracer.Emit(trace.Event{
@@ -373,25 +360,25 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 
 // executeMode services MD_RD/MD_WR mode requests: the ADRS field selects
 // the register.
-func (d *Device) executeMode(f *Flight, st *Stats) *packet.Rsp {
+func (d *Device) executeMode(f *Flight) *packet.Rsp {
 	r := f.Rqst
 	reg := Reg(r.ADRS & 0xFF)
 	switch r.Cmd {
 	case hmccmd.MDRD:
 		val, err := d.regs.Read(reg)
 		if err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		rsp := d.dataRsp(f, hmccmd.MdRdRS, r.Cmd.Info().RspFlits, nil, false)
 		rsp.Payload[0] = val
 		return rsp
 	case hmccmd.MDWR:
 		if err := d.regs.Write(reg, r.Payload[0]); err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		return d.dataRsp(f, hmccmd.MdWrRS, r.Cmd.Info().RspFlits, nil, false)
 	}
-	return d.errorRsp(f, ErrstatInternal, st)
+	return d.errorRsp(f, ErrstatInternal)
 }
 
 // blockViolation reports a DRAM request that exceeds the configured
@@ -409,12 +396,12 @@ func (d *Device) blockViolation(r *packet.Rqst, info *hmccmd.Info) bool {
 	return r.ADRS%block+n > block
 }
 
-// dataRsp builds a success response around a pooled packet whose zeroed
+// dataRsp builds a success response around a free-list packet whose zeroed
 // payload is sized to the response length; a non-nil payload argument is
 // copied in (and zero-padded by construction when shorter).
 func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint64, dinv bool) *packet.Rsp {
 	r := f.Rqst
-	rsp := packet.GetRsp(2 * (int(flits) - 1))
+	rsp := d.rspFree.Get(2 * (int(flits) - 1))
 	copy(rsp.Payload, payload)
 	rsp.Cmd = cmd
 	rsp.CUB = uint8(d.ID)
@@ -429,11 +416,11 @@ func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint
 }
 
 // errorRsp builds a one-FLIT error response carrying an ERRSTAT code.
-func (d *Device) errorRsp(f *Flight, errstat uint8, st *Stats) *packet.Rsp {
-	st.ErrResponses++
+func (d *Device) errorRsp(f *Flight, errstat uint8) *packet.Rsp {
+	d.stats.ErrResponses++
 	r := f.Rqst
 	code, _ := hmccmd.RspError.Code()
-	rsp := packet.GetRsp(0)
+	rsp := d.rspFree.Get(0)
 	rsp.Cmd = hmccmd.RspError
 	rsp.CmdCode = code
 	rsp.CUB = uint8(d.ID)

@@ -12,23 +12,11 @@
 // the atomic and CMC execution units, alongside arbitrary-span accessors
 // used by the read/write datapath.
 //
-// # Sharding
+// # Ownership
 //
-// The device interleaves its address space across vaults at the
-// maximum-block-size granularity (internal/addr), and the device clock
-// may service vaults concurrently (WithParallelClock). To keep the
-// store contention-free under that traffic pattern it can be built
-// sharded on the same vault bits (NewSharded): each shard owns its own
-// lock and page table, so two vaults never contend for the same lock.
-//
-// A shard stores its slice of the address space *compacted*: the
-// granules (interleave blocks) belonging to one shard are packed
-// contiguously before being split into pages, so sharding adds zero
-// page-storage overhead. Because the HMC forbids DRAM requests from
-// crossing an interleave-block boundary, every datapath access lands in
-// exactly one shard — and, since the granule size divides the page
-// size, in exactly one page. Host-side bulk preloads that span granules
-// are split transparently.
+// A store belongs to one device and is touched only by the goroutine
+// that drives it, so it takes no locks. Only the pool of zeroed pages
+// is shared, process-wide, between stores.
 package mem
 
 import (
@@ -68,115 +56,24 @@ func releasePage(p *[PageBytes]byte) {
 	pagePool.Put(p)
 }
 
-// shard is one independently locked slice of the address space.
-type shard struct {
-	mu    sync.RWMutex
-	pages map[uint64]*[PageBytes]byte
-	// noLock elides the mutex entirely (SetSerial): even uncontended,
-	// RWMutex lock/unlock pairs are four atomic RMW operations, a
-	// measurable slice of a 16-byte block access on the serial clock
-	// path.
-	noLock bool
-}
-
-func (sh *shard) rlock() {
-	if !sh.noLock {
-		sh.mu.RLock()
-	}
-}
-
-func (sh *shard) runlock() {
-	if !sh.noLock {
-		sh.mu.RUnlock()
-	}
-}
-
-func (sh *shard) lock() {
-	if !sh.noLock {
-		sh.mu.Lock()
-	}
-}
-
-func (sh *shard) unlock() {
-	if !sh.noLock {
-		sh.mu.Unlock()
-	}
-}
-
-// Store is a sparse, lazily allocated memory of fixed capacity. All
-// methods are safe for concurrent use unless SetSerial has elided
-// locking.
+// Store is a sparse, lazily allocated memory of fixed capacity. It is
+// single-owner: no method is safe for concurrent use.
 type Store struct {
-	shards []shard
-	// granuleBits is the log2 interleave granularity; addresses within
-	// one granule share a shard. shardMask selects the shard from the
-	// bits directly above the granule.
-	granuleBits uint
-	shardBits   uint
-	shardMask   uint64
-	capacity    uint64
+	// pages is the page table, created on first write (reads of a nil
+	// map are legal and return the zero value).
+	pages    map[uint64]*[PageBytes]byte
+	capacity uint64
 }
 
-// New returns an unsharded store of the given capacity in bytes.
-func New(capacity uint64) *Store { return NewSharded(capacity, 0, 0) }
-
-// NewSharded returns a store of the given capacity whose page table is
-// partitioned into 1<<shardBits independent shards selected by address
-// bits [granuleBits, granuleBits+shardBits). Matching these to the
-// device's offset and vault bits makes concurrent per-vault traffic
-// contention-free. granuleBits and shardBits of zero degrade to a
-// single shard. It panics on geometry that cannot address the capacity,
-// which always indicates a configuration error upstream.
-func NewSharded(capacity uint64, granuleBits, shardBits int) *Store {
-	if granuleBits < 0 || shardBits < 0 ||
-		(shardBits > 0 && granuleBits+shardBits > 62) ||
-		(shardBits > 0 && BlockBytes > 1<<granuleBits) {
-		panic(fmt.Sprintf("mem: invalid shard geometry granuleBits=%d shardBits=%d", granuleBits, shardBits))
-	}
-	// Shard page tables are created lazily on first write (reads of a nil
-	// map are legal and return the zero value), so a freshly built store
-	// costs one allocation regardless of shard count.
-	return &Store{
-		shards:      make([]shard, 1<<shardBits),
-		granuleBits: uint(granuleBits),
-		shardBits:   uint(shardBits),
-		shardMask:   1<<shardBits - 1,
-		capacity:    capacity,
-	}
-}
+// New returns a store of the given capacity in bytes.
+func New(capacity uint64) *Store { return &Store{capacity: capacity} }
 
 // Capacity returns the configured capacity in bytes.
 func (s *Store) Capacity() uint64 { return s.capacity }
 
-// SetSerial(true) elides all shard locking, making the store safe only
-// for single-goroutine use; SetSerial(false) restores it. Stores are
-// built locked. The device enables serial mode at construction (its
-// clock, host interface and workload drivers all run on one goroutine)
-// and re-enables locking before its execute-phase worker pool first
-// starts — the only code that touches a device's store concurrently.
-// Callers must not flip the mode while any other goroutine is accessing
-// the store.
-func (s *Store) SetSerial(on bool) {
-	for i := range s.shards {
-		s.shards[i].noLock = on
-	}
-}
-
-// Shards returns the number of independent page-table shards.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // AllocatedBytes returns the number of bytes of page storage currently
 // materialized.
-func (s *Store) AllocatedBytes() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.rlock()
-		n += uint64(len(sh.pages)) * PageBytes
-		sh.runlock()
-	}
-	return n
-}
+func (s *Store) AllocatedBytes() uint64 { return uint64(len(s.pages)) * PageBytes }
 
 func (s *Store) check(addr uint64, n int) error {
 	if n < 0 || addr >= s.capacity || uint64(n) > s.capacity-addr {
@@ -185,85 +82,22 @@ func (s *Store) check(addr uint64, n int) error {
 	return nil
 }
 
-// locate maps a global address to its shard and the address within the
-// shard's compacted local space. Addresses in the same granule always
-// share (shard, local page).
-func (s *Store) locate(addr uint64) (*shard, uint64) {
-	if s.shardMask == 0 {
-		return &s.shards[0], addr
-	}
-	sid := addr >> s.granuleBits & s.shardMask
-	local := addr>>(s.granuleBits+s.shardBits)<<s.granuleBits | addr&(1<<s.granuleBits-1)
-	return &s.shards[sid], local
+// page returns the materialized page containing addr, or nil.
+func (s *Store) page(addr uint64) *[PageBytes]byte {
+	return s.pages[addr/PageBytes]
 }
 
-// granuleSpan returns how many of the n bytes at addr fall inside the
-// address's granule (the whole span for an unsharded store).
-func (s *Store) granuleSpan(addr uint64, n int) int {
-	if s.shardMask == 0 {
-		return n
-	}
-	if left := int(uint64(1)<<s.granuleBits - addr&(1<<s.granuleBits-1)); left < n {
-		return left
-	}
-	return n
-}
-
-// read copies n bytes at local into p under the shard read lock.
-func (sh *shard) read(local uint64, p []byte) {
-	sh.rlock()
-	for done := 0; done < len(p); {
-		pageIdx := (local + uint64(done)) / PageBytes
-		off := int((local + uint64(done)) % PageBytes)
-		n := min(len(p)-done, PageBytes-off)
-		if page, ok := sh.pages[pageIdx]; ok {
-			copy(p[done:done+n], page[off:off+n])
-		} else {
-			clear(p[done : done+n])
-		}
-		done += n
-	}
-	sh.runlock()
-}
-
-// write copies p into the shard at local, materializing pages as needed.
-func (sh *shard) write(local uint64, p []byte) {
-	sh.lock()
-	for done := 0; done < len(p); {
-		pageIdx := (local + uint64(done)) / PageBytes
-		off := int((local + uint64(done)) % PageBytes)
-		n := min(len(p)-done, PageBytes-off)
-		page, ok := sh.pages[pageIdx]
-		if !ok {
-			if sh.pages == nil {
-				sh.pages = make(map[uint64]*[PageBytes]byte)
-			}
-			page = newPage()
-			sh.pages[pageIdx] = page
-		}
-		copy(page[off:off+n], p[done:done+n])
-		done += n
-	}
-	sh.unlock()
-}
-
-// page returns the materialized page containing local, or nil. Callers
-// hold the shard read lock.
-func (sh *shard) page(local uint64) *[PageBytes]byte {
-	return sh.pages[local/PageBytes]
-}
-
-// ensurePage returns the page containing local, materializing it if
-// needed. Callers hold the shard write lock.
-func (sh *shard) ensurePage(local uint64) *[PageBytes]byte {
-	idx := local / PageBytes
-	page, ok := sh.pages[idx]
+// ensurePage returns the page containing addr, materializing it if
+// needed.
+func (s *Store) ensurePage(addr uint64) *[PageBytes]byte {
+	idx := addr / PageBytes
+	page, ok := s.pages[idx]
 	if !ok {
-		if sh.pages == nil {
-			sh.pages = make(map[uint64]*[PageBytes]byte)
+		if s.pages == nil {
+			s.pages = make(map[uint64]*[PageBytes]byte)
 		}
 		page = newPage()
-		sh.pages[idx] = page
+		s.pages[idx] = page
 	}
 	return page
 }
@@ -276,9 +110,13 @@ func (s *Store) Read(addr uint64, p []byte) error {
 	}
 	for done := 0; done < len(p); {
 		a := addr + uint64(done)
-		n := s.granuleSpan(a, len(p)-done)
-		sh, local := s.locate(a)
-		sh.read(local, p[done:done+n])
+		off := int(a % PageBytes)
+		n := min(len(p)-done, PageBytes-off)
+		if page := s.page(a); page != nil {
+			copy(p[done:done+n], page[off:off+n])
+		} else {
+			clear(p[done : done+n])
+		}
 		done += n
 	}
 	return nil
@@ -292,9 +130,9 @@ func (s *Store) Write(addr uint64, p []byte) error {
 	}
 	for done := 0; done < len(p); {
 		a := addr + uint64(done)
-		n := s.granuleSpan(a, len(p)-done)
-		sh, local := s.locate(a)
-		sh.write(local, p[done:done+n])
+		off := int(a % PageBytes)
+		n := min(len(p)-done, PageBytes-off)
+		copy(s.ensurePage(a)[off:off+n], p[done:done+n])
 		done += n
 	}
 	return nil
@@ -303,7 +141,7 @@ func (s *Store) Write(addr uint64, p []byte) error {
 // ReadWords reads len(dst)*8 bytes at addr directly into little-endian
 // 64-bit payload words — the zero-copy read datapath: no intermediate
 // byte buffer, and a single page access when the span stays inside one
-// granule (every spec-legal DRAM request does).
+// page (every spec-legal DRAM request does).
 func (s *Store) ReadWords(addr uint64, dst []uint64) error {
 	n := len(dst) * 8
 	if err := s.check(addr, n); err != nil {
@@ -312,21 +150,17 @@ func (s *Store) ReadWords(addr uint64, dst []uint64) error {
 	if n == 0 {
 		return nil
 	}
-	sh, local := s.locate(addr)
-	if s.granuleSpan(addr, n) == n && int(local%PageBytes)+n <= PageBytes {
-		sh.rlock()
-		if page := sh.page(local); page != nil {
-			off := int(local % PageBytes)
+	if off := int(addr % PageBytes); off+n <= PageBytes {
+		if page := s.page(addr); page != nil {
 			for i := range dst {
 				dst[i] = binary.LittleEndian.Uint64(page[off+8*i:])
 			}
 		} else {
 			clear(dst)
 		}
-		sh.runlock()
 		return nil
 	}
-	// Cross-granule span (host-side use only): fall back to the general
+	// Cross-page span (host-side use only): fall back to the general
 	// byte path one word at a time.
 	var b [8]byte
 	for i := range dst {
@@ -352,11 +186,8 @@ func (s *Store) WriteWords(addr uint64, src []uint64, n int) error {
 		return nil
 	}
 	words := n / 8
-	sh, local := s.locate(addr)
-	if s.granuleSpan(addr, n) == n && int(local%PageBytes)+n <= PageBytes {
-		sh.lock()
-		page := sh.ensurePage(local)
-		off := int(local % PageBytes)
+	if off := int(addr % PageBytes); off+n <= PageBytes {
+		page := s.ensurePage(addr)
 		for i := 0; i < words; i++ {
 			var v uint64
 			if i < len(src) {
@@ -364,7 +195,6 @@ func (s *Store) WriteWords(addr uint64, src []uint64, n int) error {
 			}
 			binary.LittleEndian.PutUint64(page[off+8*i:], v)
 		}
-		sh.unlock()
 		return nil
 	}
 	var b [8]byte
@@ -386,14 +216,11 @@ func (s *Store) ReadUint64(addr uint64) (uint64, error) {
 	if err := s.check(addr, 8); err != nil {
 		return 0, err
 	}
-	sh, local := s.locate(addr)
-	if off := int(local % PageBytes); s.granuleSpan(addr, 8) == 8 && off+8 <= PageBytes {
-		sh.rlock()
+	if off := int(addr % PageBytes); off+8 <= PageBytes {
 		var v uint64
-		if page := sh.page(local); page != nil {
+		if page := s.page(addr); page != nil {
 			v = binary.LittleEndian.Uint64(page[off:])
 		}
-		sh.runlock()
 		return v, nil
 	}
 	var b [8]byte
@@ -408,11 +235,8 @@ func (s *Store) WriteUint64(addr, v uint64) error {
 	if err := s.check(addr, 8); err != nil {
 		return err
 	}
-	sh, local := s.locate(addr)
-	if off := int(local % PageBytes); s.granuleSpan(addr, 8) == 8 && off+8 <= PageBytes {
-		sh.lock()
-		binary.LittleEndian.PutUint64(sh.ensurePage(local)[off:], v)
-		sh.unlock()
+	if off := int(addr % PageBytes); off+8 <= PageBytes {
+		binary.LittleEndian.PutUint64(s.ensurePage(addr)[off:], v)
 		return nil
 	}
 	var b [8]byte
@@ -436,15 +260,12 @@ func (s *Store) ReadBlock(addr uint64) (Block, error) {
 	if err := s.check(addr, BlockBytes); err != nil {
 		return Block{}, err
 	}
-	sh, local := s.locate(addr)
-	off := int(local % PageBytes)
-	sh.rlock()
 	var blk Block
-	if page := sh.page(local); page != nil {
+	if page := s.page(addr); page != nil {
+		off := int(addr % PageBytes)
 		blk.Lo = binary.LittleEndian.Uint64(page[off:])
 		blk.Hi = binary.LittleEndian.Uint64(page[off+8:])
 	}
-	sh.runlock()
 	return blk, nil
 }
 
@@ -457,50 +278,37 @@ func (s *Store) WriteBlock(addr uint64, blk Block) error {
 	if err := s.check(addr, BlockBytes); err != nil {
 		return err
 	}
-	sh, local := s.locate(addr)
-	off := int(local % PageBytes)
-	sh.lock()
-	page := sh.ensurePage(local)
+	page := s.ensurePage(addr)
+	off := int(addr % PageBytes)
 	binary.LittleEndian.PutUint64(page[off:], blk.Lo)
 	binary.LittleEndian.PutUint64(page[off+8:], blk.Hi)
-	sh.unlock()
 	return nil
 }
 
 // Reset returns the store to all-zeros, scrubbing every materialized
-// page back to the shared page pool. The shard page tables survive with
-// their entries cleared, so a reused store re-materializes into warm map
+// page back to the shared page pool. The page table survives with its
+// entries cleared, so a reused store re-materializes into warm map
 // buckets. Use Zero to return to all-zeros while keeping the pages
 // materialized (the simulator-reuse fast path), or Trim to additionally
-// drop the page tables themselves.
+// drop the page table itself.
 func (s *Store) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock()
-		for idx, page := range sh.pages {
-			releasePage(page)
-			delete(sh.pages, idx)
-		}
-		sh.unlock()
+	for idx, page := range s.pages {
+		releasePage(page)
+		delete(s.pages, idx)
 	}
 }
 
 // Trim releases every materialized page to the shared page pool and
-// drops the shard page tables, shrinking the store to its freshly built
+// drops the page table, shrinking the store to its freshly built
 // footprint. It is the idle-session heap diet: a pooled simulator that
 // may sit unused holds no page storage, and the pages it scrubbed back
 // seed the next session's first writes. Trim leaves the store all-zero,
 // observationally identical to Reset.
 func (s *Store) Trim() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock()
-		for _, page := range sh.pages {
-			releasePage(page)
-		}
-		sh.pages = nil
-		sh.unlock()
+	for _, page := range s.pages {
+		releasePage(page)
 	}
+	s.pages = nil
 }
 
 // Zero returns the store to all-zeros without dropping materialized
@@ -510,12 +318,7 @@ func (s *Store) Trim() {
 // cannot distinguish a zeroed page from an unmaterialized one, so Zero
 // and Reset are observationally identical.
 func (s *Store) Zero() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lock()
-		for _, page := range sh.pages {
-			clear(page[:])
-		}
-		sh.unlock()
+	for _, page := range s.pages {
+		clear(page[:])
 	}
 }

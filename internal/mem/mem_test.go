@@ -2,7 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,7 +152,7 @@ func TestReset(t *testing.T) {
 // page recycled through the pool reads as zero on its next
 // materialization (releasePage scrubs before pooling).
 func TestTrimScrubsToPool(t *testing.T) {
-	s := NewSharded(1<<20, 5, 3)
+	s := New(1 << 20)
 	for addr := uint64(0); addr < 8*PageBytes; addr += 512 {
 		if err := s.WriteUint64(addr, ^uint64(0)); err != nil {
 			t.Fatal(err)
@@ -175,7 +178,7 @@ func TestTrimScrubsToPool(t *testing.T) {
 // the store to all-zeros (observationally identical to Reset) while
 // keeping every materialized page allocated for the next run.
 func TestZeroKeepsPages(t *testing.T) {
-	s := NewSharded(1<<20, 5, 3)
+	s := New(1 << 20)
 	for addr := uint64(0); addr < 8*PageBytes; addr += 512 {
 		if err := s.WriteUint64(addr, addr|1); err != nil {
 			t.Fatal(err)
@@ -196,27 +199,6 @@ func TestZeroKeepsPages(t *testing.T) {
 	}
 }
 
-// TestSetSerial checks that the lock-elided mode is functionally
-// identical to the locked default, and that locking can be restored.
-// (shard_test.go proves the locked mode race-free under -race; serial
-// mode is single-goroutine by contract.)
-func TestSetSerial(t *testing.T) {
-	s := NewSharded(1<<20, 5, 3)
-	s.SetSerial(true)
-	for addr := uint64(0); addr < 4096; addr += 16 {
-		if err := s.WriteBlock(addr, Block{Lo: addr, Hi: ^addr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SetSerial(false)
-	for addr := uint64(0); addr < 4096; addr += 16 {
-		blk, err := s.ReadBlock(addr)
-		if err != nil || blk != (Block{Lo: addr, Hi: ^addr}) {
-			t.Fatalf("addr %#x: %+v, %v", addr, blk, err)
-		}
-	}
-}
-
 func TestSparseAllocation(t *testing.T) {
 	s := New(8 << 30) // 8 GB device
 	if err := s.WriteUint64(7<<30, 1); err != nil {
@@ -227,20 +209,27 @@ func TestSparseAllocation(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess drives one store per goroutine, the way
+// independent simulators run side by side: stores share only the page
+// pool, so under -race this proves that sharing is safe, and every
+// store must read back exactly its own writes.
 func TestConcurrentAccess(t *testing.T) {
-	s := New(1 << 20)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			base := uint64(g) * 4096
+			s := New(1 << 20)
 			for i := 0; i < 100; i++ {
-				if err := s.WriteUint64(base, uint64(i)); err != nil {
+				addr := uint64(i%16) * PageBytes
+				if err := s.WriteUint64(addr, uint64(g<<8|i)); err != nil {
 					done <- err
 					return
 				}
-				if _, err := s.ReadUint64(base); err != nil {
-					done <- err
+				if v, err := s.ReadUint64(addr); err != nil || v != uint64(g<<8|i) {
+					done <- fmt.Errorf("store %d: read %#x, %v", g, v, err)
 					return
+				}
+				if i%32 == 31 {
+					s.Trim() // feed the shared pool other stores draw from
 				}
 			}
 			done <- nil
@@ -250,6 +239,155 @@ func TestConcurrentAccess(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStoreMatchesFlatModel drives random traffic through every
+// accessor and checks each read against a flat byte array holding the
+// same writes.
+func TestStoreMatchesFlatModel(t *testing.T) {
+	const capacity = 1 << 16
+	s := New(capacity)
+	model := make([]byte, capacity)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		addr := uint64(rng.Intn(capacity))
+		switch rng.Intn(6) {
+		case 0: // bulk write, possibly spanning pages
+			n := rng.Intn(300) + 1
+			addr = min(addr, capacity-uint64(n))
+			p := make([]byte, n)
+			rng.Read(p)
+			if err := s.Write(addr, p); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[addr:], p)
+		case 1: // bulk read
+			n := rng.Intn(300) + 1
+			addr = min(addr, capacity-uint64(n))
+			got := make([]byte, n)
+			if err := s.Read(addr, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, model[addr:addr+uint64(n)]) {
+				t.Fatalf("Read mismatch at %#x len %d", addr, n)
+			}
+		case 2: // aligned block write
+			addr &^= BlockBytes - 1
+			blk := Block{Lo: rng.Uint64(), Hi: rng.Uint64()}
+			if err := s.WriteBlock(addr, blk); err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(model[addr:], blk.Lo)
+			binary.LittleEndian.PutUint64(model[addr+8:], blk.Hi)
+		case 3: // aligned block read
+			addr &^= BlockBytes - 1
+			blk, err := s.ReadBlock(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Block{Lo: binary.LittleEndian.Uint64(model[addr:]), Hi: binary.LittleEndian.Uint64(model[addr+8:])}
+			if blk != want {
+				t.Fatalf("ReadBlock mismatch at %#x: %+v, want %+v", addr, blk, want)
+			}
+		case 4: // word write, possibly straddling a page
+			addr = min(addr, capacity-8)
+			v := rng.Uint64()
+			if err := s.WriteUint64(addr, v); err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(model[addr:], v)
+		case 5: // multi-word write and read back, possibly cross-page
+			words := rng.Intn(16) + 1
+			addr = min(addr&^7, capacity-uint64(8*words))
+			src := make([]uint64, words)
+			for j := range src {
+				src[j] = rng.Uint64()
+				binary.LittleEndian.PutUint64(model[addr+uint64(8*j):], src[j])
+			}
+			if err := s.WriteWords(addr, src, words*8); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]uint64, words)
+			if err := s.ReadWords(addr, got); err != nil {
+				t.Fatal(err)
+			}
+			for j := range got {
+				if got[j] != src[j] {
+					t.Fatalf("ReadWords mismatch at %#x word %d", addr, j)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteWordsZeroFill checks that WriteWords zero-fills bytes beyond
+// the supplied words, matching the device datapath's padding semantics.
+func TestWriteWordsZeroFill(t *testing.T) {
+	s := New(1 << 16)
+	// Pre-dirty the range.
+	dirty := bytes.Repeat([]byte{0xAA}, 64)
+	if err := s.Write(0x40, dirty); err != nil {
+		t.Fatal(err)
+	}
+	// Write 64 bytes but supply only 2 words.
+	if err := s.WriteWords(0x40, []uint64{1, 2}, 64); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint64, 8)
+	if err := s.ReadWords(0x40, got); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{1, 2, 0, 0, 0, 0, 0, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("word %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+}
+
+// TestWordsCrossPage exercises the ReadWords/WriteWords fallback for
+// host-side spans that cross a page boundary.
+func TestWordsCrossPage(t *testing.T) {
+	s := New(1 << 16)
+	// 16 words = 128 bytes starting 8 bytes before a page boundary.
+	addr := uint64(PageBytes - 8)
+	src := make([]uint64, 16)
+	for i := range src {
+		src[i] = uint64(i) * 0x0101010101010101
+	}
+	if err := s.WriteWords(addr, src, len(src)*8); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint64, 16)
+	if err := s.ReadWords(addr, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		if got[i] != src[i] {
+			t.Fatalf("word %d = %#x, want %#x", i, got[i], src[i])
+		}
+	}
+	if n := s.AllocatedBytes(); n != 2*PageBytes {
+		t.Errorf("cross-page span materialized %d bytes, want two pages", n)
+	}
+}
+
+// TestWordsOutOfBounds checks that the word, block and span accessors
+// reject accesses past or straddling the capacity.
+func TestWordsOutOfBounds(t *testing.T) {
+	s := New(1 << 16)
+	if _, err := s.ReadBlock(1 << 16); err == nil {
+		t.Fatal("ReadBlock past capacity: want error")
+	}
+	if err := s.WriteUint64(1<<16-4, 1); err == nil {
+		t.Fatal("WriteUint64 straddling capacity: want error")
+	}
+	if err := s.ReadWords(1<<16-8, make([]uint64, 2)); err == nil {
+		t.Fatal("ReadWords past capacity: want error")
+	}
+	if err := s.WriteWords(1<<16-8, []uint64{1, 2}, 16); err == nil {
+		t.Fatal("WriteWords past capacity: want error")
 	}
 }
 

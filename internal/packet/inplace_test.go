@@ -216,11 +216,13 @@ func TestCRCMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGetRspZeroed checks that pooled responses come back fully reset:
-// a dirtied, released response must be indistinguishable from a fresh
-// allocation on the next Get.
+// TestGetRspZeroed checks that free-list responses come back fully
+// reset: a dirtied, released response must be indistinguishable from a
+// fresh allocation on the next Get, and must be the packet that Get
+// hands out next.
 func TestGetRspZeroed(t *testing.T) {
-	p := GetRsp(8)
+	var l RspList
+	p := l.Get(8)
 	p.Cmd = hmccmd.WrRS
 	p.TAG = 99
 	p.ERRSTAT = 0x7F
@@ -230,21 +232,52 @@ func TestGetRspZeroed(t *testing.T) {
 	}
 	PutRsp(p)
 	for trial := 0; trial < 100; trial++ {
-		q := GetRsp(8)
+		q := l.Get(8)
+		if q != p {
+			t.Fatalf("trial %d: Get did not reuse the released packet", trial)
+		}
 		if q.Cmd != 0 || q.TAG != 0 || q.ERRSTAT != 0 || q.DINV {
-			t.Fatalf("pooled Rsp not reset: %+v", q)
+			t.Fatalf("recycled Rsp not reset: %+v", q)
 		}
 		if len(q.Payload) != 8 {
-			t.Fatalf("pooled Rsp payload length %d, want 8", len(q.Payload))
+			t.Fatalf("recycled Rsp payload length %d, want 8", len(q.Payload))
 		}
 		for i, w := range q.Payload {
 			if w != 0 {
-				t.Fatalf("pooled Rsp payload[%d] = %#x, want 0", i, w)
+				t.Fatalf("recycled Rsp payload[%d] = %#x, want 0", i, w)
 			}
 		}
 		PutRsp(q)
 	}
-	PutRsp(nil) // must be a no-op
+	PutRsp(nil)          // must be a no-op
+	PutRsp(&Rsp{TAG: 1}) // a packet no list built: dropped
+	if q := l.Get(0); q != p {
+		t.Fatal("a foreign packet entered the list")
+	}
+}
+
+// TestRspListSizesPayloadToCommand checks that a packet's payload is
+// allocated at the size its first command needs, not at
+// MaxPayloadWords, and grows only when a larger response reuses it.
+func TestRspListSizesPayloadToCommand(t *testing.T) {
+	var l RspList
+	p := l.Get(2)
+	if cap(p.Payload) != 2 {
+		t.Fatalf("fresh 2-word payload has capacity %d, want 2", cap(p.Payload))
+	}
+	PutRsp(p)
+	if q := l.Get(0); q != p || len(q.Payload) != 0 || cap(q.Payload) != 2 {
+		t.Fatalf("error response did not keep the 2-word backing: len %d cap %d", len(q.Payload), cap(q.Payload))
+	}
+	PutRsp(p)
+	if q := l.Get(8); q != p || len(q.Payload) != 8 || cap(q.Payload) != 8 {
+		t.Fatalf("8-word response: len %d cap %d, want 8/8", len(q.Payload), cap(q.Payload))
+	}
+	l.Trim()
+	PutRsp(p) // an outstanding packet still finds its trimmed list
+	if q := l.Get(8); q != p {
+		t.Fatal("packet released after Trim was not reused")
+	}
 }
 
 // FuzzDecodeIntoEquivalence feeds arbitrary word streams to both request

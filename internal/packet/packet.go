@@ -141,6 +141,10 @@ type Rsp struct {
 
 	// Payload holds the data words between header and tail.
 	Payload []uint64
+
+	// home is the free list that built the response (RspList.Get), nil
+	// for decoded or hand-made packets; PutRsp returns the packet there.
+	home *RspList
 }
 
 // payloadWords returns the number of 64-bit data words in a packet of lng

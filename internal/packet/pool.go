@@ -1,51 +1,69 @@
 package packet
 
-import (
-	"sync"
+import "repro/internal/hmccmd"
 
-	"repro/internal/hmccmd"
-)
-
-// MaxPayloadWords is the payload capacity retained by pooled packets: the
-// largest architected packet is hmccmd.MaxPacketFlits FLITs, leaving
+// MaxPayloadWords is the payload capacity of the largest architected
+// packet: hmccmd.MaxPacketFlits FLITs leave
 // WordsPerFlit*(MaxPacketFlits-1) data words between header and tail.
 const MaxPayloadWords = WordsPerFlit * (hmccmd.MaxPacketFlits - 1)
 
-// rspPool recycles response packets across the device execute phase and
-// the host receive path. Responses are constructed on execute-phase
-// worker goroutines when the parallel clock is enabled, so this is a
-// sync.Pool rather than a device-local free list.
-var rspPool = sync.Pool{
-	New: func() any {
-		return &Rsp{Payload: make([]uint64, 0, MaxPayloadWords)}
-	},
+// RspList is a free list of response packets owned by the one goroutine
+// that builds them — in the simulator, a device's execute phase. Every
+// response it hands out remembers its list, so PutRsp returns the
+// packet to the list that built it no matter which layer releases it.
+// A list and the responses drawn from it are single-owner: Get, PutRsp
+// and Trim must all run on the owning goroutine. The zero value is an
+// empty list ready to use.
+type RspList struct {
+	free []*Rsp
 }
 
-// GetRsp returns a pooled response with every field zeroed and Payload
+// rspChunk is how many packets a miss allocates at once, so a list's
+// packets sit together in memory instead of scattered among other
+// objects of their size.
+const rspChunk = 8
+
+// Get returns a response owned by l with every field zeroed and Payload
 // sized to payloadWords zeroed words. Callers that fill the payload via
 // an execute context rely on it starting at zero, exactly like a fresh
-// allocation.
-func GetRsp(payloadWords int) *Rsp {
-	p := rspPool.Get().(*Rsp)
+// allocation. A recycled packet keeps its payload backing array when it
+// is large enough; otherwise the payload is allocated at exactly
+// payloadWords, so a list's packets grow only to the largest response
+// their commands need.
+func (l *RspList) Get(payloadWords int) *Rsp {
+	if len(l.free) == 0 {
+		chunk := make([]Rsp, rspChunk)
+		for i := range chunk {
+			l.free = append(l.free, &chunk[i])
+		}
+	}
+	p := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
 	pl := p.Payload
 	if cap(pl) < payloadWords {
 		pl = make([]uint64, payloadWords)
 	} else {
 		pl = pl[:payloadWords]
-		for i := range pl {
-			pl[i] = 0
-		}
+		clear(pl)
 	}
-	*p = Rsp{Payload: pl}
+	*p = Rsp{Payload: pl, home: l}
 	return p
 }
 
-// PutRsp returns a response to the pool. The caller must not retain p or
-// its payload afterwards. Putting nil is a no-op, so release paths can
-// pass whatever Recv handed back without checking.
+// Trim drops every packet on the list. Responses still out come back to
+// it when released.
+func (l *RspList) Trim() { l.free = nil }
+
+// PutRsp returns a response to the free list that built it, where the
+// next Get on that list hands it out again. The caller must not retain
+// p or its payload afterwards, and must call PutRsp on the goroutine
+// that owns the list — for a simulator response, the goroutine driving
+// that simulator. Putting nil, or a response no list built (a decoded
+// or hand-made packet), is a no-op, so release paths can pass whatever
+// Recv handed back without checking.
 func PutRsp(p *Rsp) {
-	if p == nil {
+	if p == nil || p.home == nil {
 		return
 	}
-	rspPool.Put(p)
+	p.home.free = append(p.home.free, p)
 }

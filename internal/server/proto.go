@@ -127,6 +127,10 @@ const (
 	// code, bad link, malformed payload, unknown CMC op, full CMC
 	// table).
 	CodeSim = "sim"
+	// CodeInternal: the simulator panicked while executing the request
+	// (a bug, e.g. in a CMC operation). The session is torn down; the
+	// server and every other session keep serving.
+	CodeInternal = "internal"
 )
 
 // Request is one decoded protocol request. The zero value plus Op is a

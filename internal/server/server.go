@@ -196,6 +196,7 @@ type serverMetrics struct {
 	sessionsOpened *metrics.Counter
 	sessionsClosed *metrics.Counter
 	evictions      *metrics.Counter
+	panics         *metrics.Counter
 	protoErrs      *metrics.Counter
 	connsActive    *metrics.Gauge
 	connsOpened    *metrics.Counter
@@ -231,6 +232,7 @@ func New(cfg Config) *Server {
 	m.sessionsOpened = reg.Counter("hmc_server_sessions_opened_total")
 	m.sessionsClosed = reg.Counter("hmc_server_sessions_closed_total")
 	m.evictions = reg.Counter("hmc_server_sessions_evicted_total")
+	m.panics = reg.Counter("hmc_server_session_panics_total")
 	m.protoErrs = reg.Counter("hmc_server_protocol_errors_total")
 	m.connsActive = reg.Gauge("hmc_server_conns_active")
 	m.connsOpened = reg.Counter("hmc_server_conns_opened_total")
@@ -450,21 +452,7 @@ func (sh *shard) exec(t task) {
 	rsp.ID = t.req.ID
 	rsp.OK = true
 
-	switch {
-	case t.op == OpInit:
-		sh.execInit(t.req, &rsp)
-	case t.op == OpBatch:
-		sh.execBatch(t.req, &rsp, start)
-	default:
-		if ss := sh.sessions[t.req.Sess]; ss == nil {
-			fail(&rsp, CodeNoSession, fmt.Sprintf("unknown session %d", t.req.Sess))
-		} else {
-			ss.lastOp = start.UnixNano()
-			if r := sh.execOp(t.op, ss, t.req, &rsp); r != nil {
-				sh.brefs = append(sh.brefs, r)
-			}
-		}
-	}
+	sh.dispatch(t, &rsp, start)
 
 	buf := getBuf()
 	if t.bin {
@@ -487,6 +475,52 @@ func (sh *shard) exec(t task) {
 	if t.c.pending.Add(-1) == 0 && t.c.readerDone.Load() {
 		t.c.drop()
 	}
+}
+
+// dispatch executes the request against its session. A panic in the
+// simulator fails only this session: the request answers CodeInternal
+// and the session is torn down without pooling its simulator, whose
+// free lists or queues may be half-updated.
+func (sh *shard) dispatch(t task, rsp *Response, start time.Time) {
+	defer func() {
+		if p := recover(); p != nil {
+			clear(sh.brefs)
+			sh.brefs = sh.brefs[:0]
+			*rsp = Response{ID: t.req.ID}
+			fail(rsp, CodeInternal, fmt.Sprintf("session %d: %s panicked: %v", t.req.Sess, t.op, p))
+			sh.abandon(t.req.Sess)
+			sh.srv.met.panics.Inc()
+		}
+	}()
+	switch {
+	case t.op == OpInit:
+		sh.execInit(t.req, rsp)
+	case t.op == OpBatch:
+		sh.execBatch(t.req, rsp, start)
+	default:
+		if ss := sh.sessions[t.req.Sess]; ss == nil {
+			fail(rsp, CodeNoSession, fmt.Sprintf("unknown session %d", t.req.Sess))
+		} else {
+			ss.lastOp = start.UnixNano()
+			if r := sh.execOp(t.op, ss, t.req, rsp); r != nil {
+				sh.brefs = append(sh.brefs, r)
+			}
+		}
+	}
+}
+
+// abandon closes a session whose simulator panicked. The simulator is
+// dropped rather than pooled: nothing it holds can be trusted.
+func (sh *shard) abandon(id uint64) {
+	ss := sh.sessions[id]
+	if ss == nil {
+		return
+	}
+	delete(sh.sessions, id)
+	ss.sim = nil
+	sh.srv.active.Add(-1)
+	sh.srv.met.sessionsActive.Add(-1)
+	sh.srv.met.sessionsClosed.Inc()
 }
 
 // execBatch runs a batch frame's sub-ops back-to-back on the session.

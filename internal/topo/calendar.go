@@ -19,7 +19,7 @@ import "repro/internal/device"
 type calendar struct {
 	// step[i] is cube i's decision for the cycle being clocked: true to
 	// run the full device Clock, false to fast-forward with
-	// SkipCycles(1). Filled by planCycle, read by the step workers.
+	// SkipCycles(1). Filled by planCycle, read by Clock.
 	step []bool
 }
 
@@ -28,23 +28,18 @@ func (c *calendar) init(n int) {
 }
 
 // planCycle fills the calendar's step plan for the cycle the topology
-// just advanced to (t.cycle; the devices still sit one cycle behind)
-// and returns how many cubes must step. A cube steps when its next
-// event is due, or — defensively; the collect loop drains them every
-// stepped cycle — when a remote cube still holds surfaced responses.
-func (t *Topology) planCycle() int {
-	active := 0
+// just advanced to (t.cycle; the devices still sit one cycle behind).
+// A cube steps when its next event is due, or — defensively; the
+// collect loop drains them every stepped cycle — when a remote cube
+// still holds surfaced responses.
+func (t *Topology) planCycle() {
 	for i, d := range t.devs {
 		step := d.NextEventCycle() <= t.cycle
 		if !step && i > 0 && d.HostRspQueued() {
 			step = true
 		}
 		t.cal.step[i] = step
-		if step {
-			active++
-		}
 	}
-	return active
 }
 
 // jumpSpan returns how many whole cycles every cube can fast-forward in
@@ -119,8 +114,8 @@ func (t *Topology) skipAll(span uint64) {
 // clockSingleActive batches consecutive cycles on which exactly one
 // cube is active and no cross-cube packet is in flight or deliverable:
 // the active cube runs its device Clock back-to-back (one "epoch", no
-// per-cycle topology scans or pool handoffs) while the others are
-// fast-forwarded in one SkipCycles call afterwards. Legal because
+// per-cycle topology scans) while the others are fast-forwarded in one
+// SkipCycles call afterwards. Legal because
 // inter-cube exchange happens only at cycle boundaries and none is due
 // within the batch; a remote active cube additionally stops the batch
 // the moment a response surfaces, collecting it that same cycle, so the
