@@ -3,7 +3,6 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
 )
@@ -77,11 +76,9 @@ const (
 // encoded as 0x21.
 const RVIDValue uint64 = 0xF1<<16 | 0x02<<8 | 0x21
 
-// RegFile is a device's configuration and status register file. It is
-// safe for concurrent use: vaults executing in parallel may latch error
-// bits simultaneously.
+// RegFile is a device's configuration and status register file. Like
+// the device, it belongs to the goroutine that drives the simulator.
 type RegFile struct {
-	mu   sync.Mutex
 	vals [numRegs]uint64
 }
 
@@ -91,8 +88,7 @@ func newRegFile(cfg config.Config) *RegFile {
 	return rf
 }
 
-// seed writes the configuration-derived reset values. Callers hold the
-// mutex when the register file is already shared.
+// seed writes the configuration-derived reset values.
 func (rf *RegFile) seed(cfg config.Config) {
 	rf.vals[RegFEAT] = uint64(cfg.CapacityGB)<<featCapShift |
 		uint64(cfg.Vaults)<<featVaultShift |
@@ -103,10 +99,8 @@ func (rf *RegFile) seed(cfg config.Config) {
 
 // reset restores every register to its power-on value for cfg.
 func (rf *RegFile) reset(cfg config.Config) {
-	rf.mu.Lock()
 	rf.vals = [numRegs]uint64{}
 	rf.seed(cfg)
-	rf.mu.Unlock()
 }
 
 // Read returns the value of a register.
@@ -114,8 +108,6 @@ func (rf *RegFile) Read(r Reg) (uint64, error) {
 	if r >= numRegs {
 		return 0, fmt.Errorf("%w: %d", ErrBadReg, r)
 	}
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
 	return rf.vals[r], nil
 }
 
@@ -128,14 +120,10 @@ func (rf *RegFile) Write(r Reg, v uint64) error {
 	case r == RegFEAT || r == RegRVID:
 		return fmt.Errorf("%w: %v", ErrReadOnlyReg, r)
 	case r == RegERR:
-		rf.mu.Lock()
 		rf.vals[r] &^= v
-		rf.mu.Unlock()
 		return nil
 	default:
-		rf.mu.Lock()
 		rf.vals[r] = v
-		rf.mu.Unlock()
 		return nil
 	}
 }
@@ -143,9 +131,7 @@ func (rf *RegFile) Write(r Reg, v uint64) error {
 // PostError sets bits in the error status register; internal device
 // faults report through it.
 func (rf *RegFile) PostError(bits uint64) {
-	rf.mu.Lock()
 	rf.vals[RegERR] |= bits
-	rf.mu.Unlock()
 }
 
 // DecodeFEAT unpacks a FEAT register value into (capacity GB, vaults,

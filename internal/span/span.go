@@ -18,12 +18,10 @@
 // ring into a Chrome/Perfetto trace (WritePerfetto) or a per-stage
 // latency-attribution table (Attribute).
 //
-// Concurrency: stage events are emitted from execute-phase pool workers
-// and concurrently stepped topology devices, so all recorder state
-// mutates under one mutex. Tracked is a lock-free read: the tracking
-// bitmap is written only from the host side (Send/Recv, outside the
-// concurrent phases) or under the mutex (posted completions), and no
-// two writers ever touch the same tag concurrently.
+// Concurrency: all recorder state mutates under one mutex, so a tracer
+// may be read (exporters, metrics) while a simulator records into it.
+// Tracked is a lock-free read: the tracking bitmap is written only by
+// the goroutine driving the simulator.
 package span
 
 import (

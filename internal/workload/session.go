@@ -70,9 +70,8 @@ func NewSession(cfg config.Config, opts ...sim.Option) (*Session, error) {
 // Sim exposes the underlying simulator (post-run reports, JTAG pokes).
 func (ss *Session) Sim() *sim.Simulator { return ss.sim }
 
-// Close releases the simulator's worker pools. The session must not be
-// used afterwards for parallel-clock runs without restarting pools (the
-// simulator itself remains usable, as with Simulator.Close).
+// Close marks the end of the session's use of its simulator; like
+// Simulator.Close, it releases nothing and the session stays usable.
 func (ss *Session) Close() { ss.sim.Close() }
 
 // begin readies the simulator for the next run: Reset in place when the
